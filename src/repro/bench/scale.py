@@ -17,7 +17,9 @@ as ``BENCH_scaling.json``:
 Each point reports both clocks:
 
 * ``host_wall_s`` / ``events_per_sec`` / ``max_queue_depth`` — how fast
-  and how big the *simulator* ran (the scalability of the tool);
+  and how big the *simulator* ran (the scalability of the tool), host
+  wall split into ``setup_s`` (until the last compute rank enters
+  ``Rocman.run``) and ``run_s`` (the rest) so setup cannot hide in it;
 * ``virtual_wall_s`` / ``computation_s`` / ``visible_io_s`` — what the
   simulated machine spent (the scalability of the modeled system;
   ``computation_s`` includes time blocked in collectives, which is
@@ -104,6 +106,7 @@ def bench_scale_point(
     from ..cluster.machine import Machine
     from ..cluster.presets import turing
     from ..genx.driver import GENxConfig, run_genx
+    from ..genx.rocman import Rocman
 
     nservers = max(1, nclients // _RATIO)
     nranks = nclients + nservers
@@ -111,24 +114,38 @@ def bench_scale_point(
     # proportionally larger simulated cluster with the same calibration.
     nnodes = max(208, (nranks + 1) // 2)
     machine = Machine(turing(nnodes=nnodes), seed=seed)
-    t0 = time.perf_counter()
-    result = run_genx(
-        machine,
-        nranks,
-        GENxConfig(
-            workload=workload,
-            io_mode="rocpanda",
-            nservers=nservers,
-            prefix=f"{prefix}_{nclients}",
-        ),
-    )
-    host_wall = time.perf_counter() - t0
+    entered = []  # host time each compute rank enters Rocman.run
+    run = Rocman.run
+
+    def stamped_run(rocman):
+        entered.append(time.perf_counter())
+        return run(rocman)
+
+    Rocman.run = stamped_run
+    try:
+        t0 = time.perf_counter()
+        result = run_genx(
+            machine,
+            nranks,
+            GENxConfig(
+                workload=workload,
+                io_mode="rocpanda",
+                nservers=nservers,
+                prefix=f"{prefix}_{nclients}",
+            ),
+        )
+        host_wall = time.perf_counter() - t0
+    finally:
+        Rocman.run = run
+    setup = max(entered) - t0
     env = machine.env
     return {
         "nclients": nclients,
         "nservers": nservers,
         "nranks": nranks,
         "host_wall_s": round(host_wall, 3),
+        "setup_s": round(setup, 3),
+        "run_s": round(host_wall - setup, 3),
         "virtual_wall_s": round(result.wall_time, 6),
         "computation_s": round(result.computation_time, 6),
         "visible_io_s": round(result.visible_io_time, 6),
@@ -241,6 +258,8 @@ def render_scale(payload: Dict[str, Any]) -> str:
                 p["nclients"],
                 p["nranks"],
                 p["host_wall_s"],
+                p["setup_s"],
+                p["run_s"],
                 p["virtual_wall_s"],
                 p["computation_s"],
                 p["visible_io_s"],
@@ -250,7 +269,8 @@ def render_scale(payload: Dict[str, Any]) -> str:
             ])
     return render_table(
         [
-            "curve", "clients", "ranks", "host wall (s)", "virt wall (s)",
+            "curve", "clients", "ranks", "host wall (s)", "setup (s)",
+            "run (s)", "virt wall (s)",
             "compute (s)", "visible I/O (s)", "events/s", "max queue",
             "speedup vs baseline",
         ],

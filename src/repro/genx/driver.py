@@ -149,11 +149,19 @@ class GENxRunResult:
         return client_files + server_files
 
 
-def _build_physics(config: GENxConfig, ctx, com, comm, rng):
+def _build_physics(config: GENxConfig, com, comm, layouts: Dict[int, list], rng):
     workload = config.workload
     nclients = comm.size
-    crank = comm.rank
-    spec_map = workload.blocks_for(nclients)
+    # The job's block layout (global specs + one LPT assignment per
+    # component) is the same on every compute rank: the first rank to
+    # get here builds it, the rest read their own bucket of frozen specs.
+    layout = layouts.get(nclients)
+    if layout is None:
+        spec_map = workload.blocks_for(nclients)
+        layout = layouts[nclients] = [
+            partition_blocks(spec_map[key], nclients)
+            for key in ("fluid", "solid", "burn")
+        ]
 
     fluid = _FLUID[workload.fluid_kind]()
     solid = _SOLID[workload.solid_kind]()
@@ -161,15 +169,15 @@ def _build_physics(config: GENxConfig, ctx, com, comm, rng):
     for module in (fluid, solid, burn):
         module.cost_per_cell *= workload.compute_scale
 
-    for module, key in ((fluid, "fluid"), (solid, "solid"), (burn, "burn")):
-        mine = partition_blocks(spec_map[key], nclients)[crank]
-        module.setup(com, mine, rng)
+    for module, buckets in zip((fluid, solid, burn), layout):
+        module.setup(com, list(buckets[comm.rank]), rng)
     rocface = Rocface(fluid, solid, burn)
     return [fluid, solid, burn], rocface
 
 
 def genx_main(config: GENxConfig):
     """Build the SPMD main function for one GENx run."""
+    layouts: Dict[int, list] = {}  # compute-comm size -> block layout
 
     def main(ctx):
         workload = config.workload
@@ -203,7 +211,7 @@ def genx_main(config: GENxConfig):
         com.load_module(io_module)
 
         rng = np.random.default_rng(1000 + comm.rank)
-        physics, rocface = _build_physics(config, ctx, com, comm, rng)
+        physics, rocface = _build_physics(config, com, comm, layouts, rng)
 
         hooks = []
         if config.adapt_mesh:

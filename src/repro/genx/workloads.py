@@ -37,7 +37,8 @@ class WorkloadSpec:
 
     name: str
     #: Maps number of clients -> {"fluid": [...], "solid": [...],
-    #: "burn": [...]} block-spec lists.
+    #: "burn": [...]} block-spec lists.  The driver calls it once per
+    #: job and shares the partitioned result across ranks.
     blocks_for: Callable[[int], Dict[str, List[BlockSpec]]]
     steps: int = 200
     snapshot_interval: int = 50

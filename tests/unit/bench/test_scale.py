@@ -1,5 +1,7 @@
 """Unit tests for the scaling benchmark harness (PR 7 tentpole)."""
 
+import pytest
+
 from repro.bench.scale import (
     QUICK_POINTS,
     STRONG_POINTS,
@@ -24,6 +26,8 @@ def make_point(curve_n, host_wall):
         "nservers": max(1, curve_n // 8),
         "nranks": curve_n + max(1, curve_n // 8),
         "host_wall_s": host_wall,
+        "setup_s": host_wall / 4,
+        "run_s": host_wall * 3 / 4,
         "virtual_wall_s": 10.0,
         "computation_s": 2.0,
         "visible_io_s": 0.1,
@@ -50,6 +54,11 @@ class TestBenchScalePoint:
         assert point["nservers"] == 1
         assert point["nranks"] == 9
         assert point["host_wall_s"] > 0
+        assert 0 < point["setup_s"] < point["host_wall_s"]
+        assert point["run_s"] > 0
+        assert point["setup_s"] + point["run_s"] == pytest.approx(
+            point["host_wall_s"], abs=0.002
+        )
         assert point["virtual_wall_s"] > 0
         assert point["computation_s"] > 0
         assert point["events_processed"] > 0
@@ -118,3 +127,4 @@ class TestRender:
         assert "strong" in text and "weak" in text
         assert "64" in text and "128" in text
         assert "1.2" in text
+        assert "setup (s)" in text and "run (s)" in text

@@ -122,6 +122,18 @@ class TestPartition:
             ids = [s.block_id for s in bucket]
             assert ids == sorted(ids)
 
+    def test_in_place_change_is_repartitioned(self):
+        # A list edited in place must be partitioned by its new contents:
+        # stale buckets put the 100000-cell block 0 next to block 5.
+        specs = cylinder_blocks(8, 800, seed=1)
+        partition_blocks(specs, 4)
+        old = specs[0]
+        specs[0] = BlockSpec(0, old.kind, nnodes=old.nnodes, nelems=100000,
+                             theta0=old.theta0, z0=old.z0)
+        assignment = partition_blocks(specs, 4)
+        assert [s.block_id for s in assignment[0]] == [0]
+        assert assignment_stats(assignment)["max_load"] == 100000
+
 
 class TestMigrate:
     def test_moves_block(self):
